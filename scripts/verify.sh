@@ -31,6 +31,8 @@
 #      across the heap/wheel event-queue engines
 #   1. tier-1 unit/integration/property tests (the hard gate)
 #   2. the perf-marker scalability smoke vs BENCH_scalability.json
+#   2b. the end-to-end benchmark's own tests (perfbench/): its workloads
+#      must build from the public API and their digest checks must hold
 #   3. a Figure 11 regeneration through the parallel sweep engine
 #      (--jobs 2); re-runs hit the content-addressed .sweepcache/
 set -euo pipefail
@@ -210,6 +212,9 @@ python -m pytest -x -q
 
 echo "== tier-2: perf smoke =="
 python -m pytest -m perf -q benchmarks/
+
+echo "== tier-2b: benchmark tests =="
+python3 -m pytest -q perfbench
 
 echo "== sweep smoke: fig11 --jobs 2 =="
 python -m repro fig11 --jobs 2

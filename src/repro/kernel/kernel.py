@@ -380,6 +380,8 @@ class Kernel:
         process.alive = False
         for entry in list(process.fds.entries()):
             process.fds.remove(entry.fd)
+            if isinstance(entry.obj, ListenSocket) and entry.obj.process is process:
+                self._hand_over_listen_socket(entry.obj)
             self.release_descriptor(entry)
         net_thread = self.net_threads.pop(process.pid, None)
         if net_thread is not None:
@@ -387,6 +389,22 @@ class Kernel:
         if process.owns_default_container:
             self.containers.release(process.default_container)
         del self.processes[process.pid]
+
+    def _hand_over_listen_socket(self, socket: ListenSocket) -> None:
+        """The socket's owner is exiting: pass it to the lowest-pid live
+        process that still holds a descriptor for it (a pre-forking
+        server's master exits and leaves the socket to its workers).
+        Early demultiplexing delivers to, and charges, the owner, so a
+        dead owner would drop every SYN."""
+        for pid in sorted(self.processes):
+            holder = self.processes[pid]
+            if not holder.alive:
+                continue
+            for entry in holder.fds.entries():
+                if entry.obj is socket:
+                    socket.process = holder
+                    socket.primary_fd = entry.fd
+                    return
 
     # ------------------------------------------------------------------
     # Descriptor reference management
@@ -638,6 +656,7 @@ class Kernel:
             self._note_input_drop(packet)
             free_packet(packet)
             return
+        self.scheduler.on_wakeup(net_thread, self.sim.now)
         self.cpu.notify_ready(net_thread)
 
     def _note_input_drop(self, packet: Packet) -> None:

@@ -70,9 +70,15 @@ class KernelNetThread:
 
     #: A net thread's scheduling key (charge container, priority) depends
     #: on the head packet of its queues, which changes with every arrival
-    #: and completion -- there is no cheap notification channel, so the
-    #: scheduler must re-evaluate it on every pick (no index entry).
+    #: and completion, so the scheduler re-evaluates it on every pick
+    #: while it is runnable (no index entry).
     sched_push_notify = False
+
+    #: But it turns runnable only through :meth:`enqueue`, and the
+    #: kernel's net-input path calls ``Scheduler.on_wakeup`` right after
+    #: each successful enqueue.  So an idle net thread can leave the
+    #: scheduler's per-pick scan until its next packet arrives.
+    sched_wake_notify = True
 
     def __init__(
         self,

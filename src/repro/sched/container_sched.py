@@ -55,10 +55,18 @@ in deterministic richest-victim-first order.
 
 Entities without the contract (kernel net threads, whose key follows
 their head packet; test fakes that flip ``runnable`` silently) are
-*volatile*: they are re-evaluated with the original linear logic every
-pick and compared against the indexed candidate under the exact same
-key, so behaviour is bit-for-bit identical to the old full scan.  They
-are never indexed, so the dispatcher's exclude-set still guards them.
+*volatile*: they are re-evaluated with the original linear logic on
+every pick that scans them, and compared against the indexed candidate
+under the exact same key, so behaviour is bit-for-bit identical to the
+old full scan.  They are never indexed, so the dispatcher's exclude-set
+still guards them.  Volatile entities that declare the *wake contract*
+(``sched_wake_notify``: kernel net threads, which turn runnable only
+when the kernel enqueues a packet and then calls :meth:`on_wakeup`)
+leave the scan once a pick reads them as not runnable, and
+``on_wakeup`` puts them back; an idle net thread therefore costs
+nothing per pick.  Others (test fakes) are scanned on every pick.
+Volatile keys end in the unique attach order, so the scan's order can
+never change the winner.
 
 Stale index entries are never searched for.  Mutations that can move an
 *existing* entity's placement key (reparent, attribute replacement)
@@ -68,7 +76,11 @@ leaf (per-request principal churn) bumps only the full epoch, which
 flushes the memoized group weights but leaves the ready shards and
 hierarchy memos intact.  Bucket and heap entries are validated when
 they surface (lazy deletion); ineligible candidates (capped out, or
-excluded volatiles) are set aside and re-queued after the pick.
+excluded volatiles) are set aside and re-queued after the pick.  When a
+top-level group is itself capped out, every entity in its bucket is
+capped too, so the bucket is set aside untouched as one deferred entry:
+a capped-out group costs O(1) per pick, not one pop, cap check and push
+per member.
 """
 
 from __future__ import annotations
@@ -93,6 +105,12 @@ def _node_state(container: ResourceContainer) -> SchedulerNodeState:
 def _push_notify(entity: Schedulable) -> bool:
     """True if the entity promises change notifications (indexable)."""
     return bool(getattr(entity, "sched_push_notify", False))
+
+
+def _wake_notify(entity: Schedulable) -> bool:
+    """True if the entity promises an ``on_wakeup`` call whenever it
+    turns runnable (so an idle one may leave the volatile scan)."""
+    return bool(getattr(entity, "sched_wake_notify", False))
 
 
 class _ReadyShard:
@@ -160,8 +178,12 @@ class ContainerScheduler(Scheduler):
         self._wtotals: Optional[tuple] = None
         #: id(entity) -> entity, for every attached entity.
         self._by_eid: dict[int, Schedulable] = {}
-        #: Entities without the push-notify contract, re-scanned per pick.
-        self._volatile: list[Schedulable] = []
+        #: id(entity) -> entity for the volatile scan: every entity
+        #: without the push-notify contract, except wake-notified ones
+        #: last read as not runnable.
+        self._volatile: dict[int, Schedulable] = {}
+        #: ids of volatile entities with the wake contract.
+        self._wake_notified: set[int] = set()
         #: id(entity) -> (cpu, priority, gkey, stamp) of its live bucket
         #: entry; absent when the entity has no valid entry.  Bucket
         #: entries not matching this are stale and dropped when surfaced.
@@ -199,7 +221,9 @@ class ContainerScheduler(Scheduler):
             if entity.runnable and self._pos.get(eid) is None:
                 self._index_insert(entity)
         else:
-            self._volatile.append(entity)
+            self._volatile[eid] = entity
+            if _wake_notify(entity):
+                self._wake_notified.add(eid)
 
     def detach(self, entity: Schedulable) -> None:
         super().detach(entity)
@@ -215,10 +239,8 @@ class ContainerScheduler(Scheduler):
         if _push_notify(entity):
             self._remove_hooks(entity)
         else:
-            try:
-                self._volatile.remove(entity)
-            except ValueError:
-                pass
+            self._volatile.pop(eid, None)
+            self._wake_notified.discard(eid)
 
     def _install_hooks(self, entity: Schedulable) -> None:
         def note(entity=entity):
@@ -413,6 +435,9 @@ class ContainerScheduler(Scheduler):
 
     def on_wakeup(self, entity: Schedulable, now: float) -> None:
         eid = id(entity)
+        if eid in self._wake_notified:
+            self._volatile[eid] = entity  # back in the volatile scan
+            return
         if eid not in self._order or not _push_notify(entity):
             return
         self._sync_epoch()
@@ -564,12 +589,19 @@ class ContainerScheduler(Scheduler):
         best_key: Optional[tuple] = None
         best_group: Optional[ResourceContainer] = None
 
-        # Volatile entities carry no notification contract: evaluate
-        # them with the original linear logic, under the original key.
-        for entity in self._volatile:
+        # Volatile entities are not indexed: evaluate them with the
+        # original linear logic, under the original key.  A wake-notified
+        # one read as not runnable leaves the scan until its next
+        # on_wakeup.
+        idle: Optional[list] = None
+        for eid, entity in self._volatile.items():
             if not entity.runnable:
+                if eid in self._wake_notified:
+                    if idle is None:
+                        idle = []
+                    idle.append(eid)
                 continue
-            if exclude is not None and id(entity) in exclude:
+            if exclude is not None and eid in exclude:
                 continue
             container = entity.charge_container()
             if container is None:
@@ -582,7 +614,6 @@ class ContainerScheduler(Scheduler):
                 group = self._hcache.top_level(container)
                 group_pass = _node_state(group).pass_value
                 priority = self._combined_priority(entity, container)
-            eid = id(entity)
             key = (
                 -priority,
                 group_pass,
@@ -593,6 +624,9 @@ class ContainerScheduler(Scheduler):
                 best_key = key
                 best = entity
                 best_group = group
+        if idle is not None:
+            for eid in idle:
+                del self._volatile[eid]
 
         best_bkey: Optional[tuple] = None
         best_shard: Optional[_ReadyShard] = None
@@ -681,7 +715,11 @@ class ContainerScheduler(Scheduler):
             self._index_insert(entity)
 
     def _requeue_deferred(self, deferred: list) -> None:
-        """Put capped/excluded entities back; refresh displaced heads."""
+        """Put capped/excluded entities back; refresh displaced heads.
+
+        An entry of None stands for the rest of a capped-out group's
+        bucket, left in place: only its group snapshot needs re-pushing.
+        """
         if not deferred:
             return
         touched: dict[tuple, tuple] = {}
@@ -689,7 +727,8 @@ class ContainerScheduler(Scheduler):
             bucket = shard.buckets.get(bkey)
             if bucket is None:
                 bucket = shard.buckets[bkey] = []
-            heapq.heappush(bucket, entry)
+            if entry is not None:
+                heapq.heappush(bucket, entry)
             touched[(shard.index, bkey)] = (shard, bucket)
         for (_index, (priority, gkey)), (shard, bucket) in touched.items():
             if gkey is not None and bucket:
@@ -845,6 +884,9 @@ class ContainerScheduler(Scheduler):
         Stale entries (superseded, detached, no longer runnable) are
         dropped; eligible-but-barred ones (capped out, or excluded by
         the legacy protocol) are set aside for :meth:`_requeue_deferred`.
+        If the top-level group itself is capped out, every entity in the
+        bucket is capped too, so the rest of the bucket is set aside
+        whole, untouched.
         """
         bucket = shard.buckets.get(bkey)
         if bucket is None:
@@ -868,6 +910,9 @@ class ContainerScheduler(Scheduler):
                 continue
             container = entity.charge_container()
             if container is not None and self._capped(container):
+                if gkey is not None and self._capped(self._groups[gkey]):
+                    deferred.append((shard, bkey, None))
+                    return None
                 heapq.heappop(bucket)
                 deferred.append((shard, bkey, entry))
                 continue

@@ -26,8 +26,14 @@ def test_workers_forked_and_master_exits():
     assert "mp-httpd" not in names  # master exited after forking
 
 
-def test_listen_socket_survives_master_exit():
-    host, server = served_host(n_workers=2)
+@pytest.mark.parametrize(
+    "mode", [SystemMode.UNMODIFIED, SystemMode.LRP, SystemMode.RC]
+)
+def test_listen_socket_survives_master_exit(mode):
+    """In LRP/RC mode early demultiplexing delivers a SYN to the listen
+    socket's owner, so the exiting master must hand the socket over to
+    a worker that still holds it."""
+    host, server = served_host(mode=mode, n_workers=2)
     client = HttpClient(host.kernel, ip_addr(10, 0, 0, 1), "c")
     client.start(at_us=5_000.0)
     host.run(until_us=100_000.0)

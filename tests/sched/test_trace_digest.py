@@ -21,19 +21,33 @@ CPU miss penalty in favour of an asynchronous device phase, and the
 event-driven server now serves static files through container-bound
 descriptors (an extra OpenFile/ContainerBindSocket per class) -- both
 deliberately reshape the schedule, so the old digest could not survive.
+
+``SANDBOX_DIGEST`` pins the 2-core Fig. 12/13 sandbox: the ``select``
+server and a few clients next to many CPU-bound processes under one
+capped fixed-share group.  It exercises what the 1-core run cannot:
+per-CPU shards, stealing, capped-group pinning, and a kernel network
+thread per process.  It was recorded with the scheduler that re-scanned
+every network thread on every pick and drained a capped-out group's
+bucket entry by entry.
 """
 
 import contextlib
 import hashlib
 import itertools
 
-from repro import Host, SystemMode, ip_addr
+from repro import Host, SystemMode, fixed_share_attrs, ip_addr
 from repro.apps.httpserver import CgiPolicy, EventDrivenServer
 from repro.apps.synflood import SynFlooder
 from repro.apps.webclient import HttpClient
+from repro.kernel.kernel import KernelConfig
+from repro.syscall import api
 
 EXPECTED_DIGEST = (
     "aac1667cbd348c51d5d69a01e6bfc213367900855c0d85fb43adc8e0eba8f54e"
+)
+
+SANDBOX_DIGEST = (
+    "5f06eaaccc4a120343a00519695836eeadf17bac27df2d6f9923c2fbc4e9d115"
 )
 
 
@@ -118,6 +132,10 @@ def _scheduling_digest_inner(seed: int) -> str:
     )
     flooder.start(at_us=80_000.0)
     host.run(seconds=0.4)
+    return _slice_digest(records)
+
+
+def _slice_digest(records) -> str:
     digest = hashlib.sha256()
     for record in records:
         line = (
@@ -129,5 +147,62 @@ def _scheduling_digest_inner(seed: int) -> str:
     return digest.hexdigest()
 
 
+#: Fig. 13 sandbox cap of the batch group.
+SANDBOX_CAP = 0.3
+
+#: One batch process's CPU burst.
+BATCH_BURST_US = 800.0
+
+
+def _batch_main(start_delay_us: float):
+    def main():
+        yield api.Sleep(start_delay_us)
+        while True:
+            yield api.Compute(BATCH_BURST_US)
+
+    return main
+
+
+def build_sandbox(seed: int, batch_jobs: int) -> Host:
+    """2-core RC host: the ``select`` server, four clients, and
+    ``batch_jobs`` CPU-bound processes under one capped fixed-share
+    group (the Fig. 12/13 sandbox)."""
+    config = KernelConfig(mode=SystemMode.RC, n_cpus=2)
+    host = Host(mode=SystemMode.RC, seed=seed, config=config)
+    kernel = host.kernel
+    kernel.fs.add_file("/index.html", 1024)
+    kernel.fs.warm("/index.html")
+    EventDrivenServer(kernel, use_containers=True, event_api="select").install()
+    for i in range(4):
+        HttpClient(
+            kernel, ip_addr(10, 0, 0, i + 1), f"c{i}",
+            rng=host.sim.rng.fork(f"c{i}"),
+        ).start(at_us=2_000.0 + i * 173.0)
+    batch = kernel.containers.create(
+        "batch", attrs=fixed_share_attrs(SANDBOX_CAP, cpu_limit=SANDBOX_CAP)
+    )
+    rng = host.sim.rng.fork("batch")
+    for i in range(batch_jobs):
+        kernel.spawn_process(
+            f"batch-{i}",
+            _batch_main(rng.uniform(0.0, 5_000.0)),
+            parent_container=batch,
+        )
+    return host
+
+
+def sandbox_digest(seed: int = 20991213, batch_jobs: int = 32) -> str:
+    """Digest of every CPU slice of a seeded 2-core sandbox run."""
+    with _fresh_id_counters():
+        host = build_sandbox(seed, batch_jobs)
+        records = host.sim.trace.record(["cpu.slice"])
+        host.run(seconds=0.2)
+    return _slice_digest(records)
+
+
 def test_seeded_schedule_digest_is_stable():
     assert scheduling_digest() == EXPECTED_DIGEST
+
+
+def test_seeded_2core_sandbox_digest_is_stable():
+    assert sandbox_digest() == SANDBOX_DIGEST
