@@ -23,7 +23,8 @@
 #      shard-protocol SMP3xx, units UNIT4xx), with a 10s wall budget --
 #      the shared-parse graph keeps lint+analyze in the hundreds of ms
 #   0g. monitor determinism: the fig_overload_onset monitored run twice
-#      must export byte-identical dashboards + monitor JSONL, and the
+#      must export byte-identical dashboards + monitor JSONL, both hosts'
+#      exports must match the digests in tests/obs/golden/, and the
 #      unmodified host must carry a burn-rate alert
 #   0h. cluster byte-determinism: a 5-host cluster run (balancer + 4
 #      backends, global principals, SYN flood) hashed over every
@@ -145,7 +146,13 @@ for host in host-000 host-001; do
 done
 grep -q '"kind":"burn_rate"' "$TRACE_TMP/mon1/host-000/monitor.jsonl" \
   || { echo "monitor FAILED: no burn-rate alert on the unmodified host"; exit 1; }
-echo "monitor determinism OK (dashboards byte-identical across runs)"
+# Same bytes across commits too: both hosts' exports against the
+# committed digests (re-record them only when the exports are meant to
+# change, and say why).
+GOLDEN="$PWD/tests/obs/golden"
+(cd "$TRACE_TMP/mon1" && sha256sum --quiet -c "$GOLDEN/fig_overload_onset.sha256") \
+  || { echo "monitor FAILED: exports differ from tests/obs/golden/fig_overload_onset.sha256"; exit 1; }
+echo "monitor determinism OK (dashboards byte-identical across runs and to the golden digests)"
 
 echo "== tier-0h: cluster byte-determinism =="
 python - <<'PYEOF'

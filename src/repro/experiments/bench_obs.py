@@ -5,7 +5,7 @@ off the trace bus.  This benchmark prices that, on the two standard
 workloads, across three instrumentation modes:
 
 * ``off``      -- no observability attached (the PR 6 fast path: one
-  ``trace.active`` predicate per instrumented site, no records built);
+  ``trace.active`` attribute read per instrumented site, no records built);
 * ``observe``  -- the PR 4 registry/profiler/tracer collectors;
 * ``windows``  -- collectors plus the PR 9 windowed time-series
   pipeline, SLO rules, and watchdog (100 ms tumbling windows).

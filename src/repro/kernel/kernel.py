@@ -653,16 +653,23 @@ class Kernel:
             )
         cost = protocol_cost(self, packet)
         if not net_thread.enqueue(container, packet, cost, queue_key=queue_key):
-            self._note_input_drop(packet)
+            self._note_input_drop(packet, endpoint)
             free_packet(packet)
             return
         self.scheduler.on_wakeup(net_thread, self.sim.now)
         self.cpu.notify_ready(net_thread)
 
-    def _note_input_drop(self, packet: Packet) -> None:
-        """Bookkeeping for packets dropped before protocol processing."""
+    def _note_input_drop(self, packet: Packet, endpoint: object = None) -> None:
+        """Bookkeeping for packets dropped before protocol processing.
+
+        ``endpoint`` is what early demux already matched the packet to;
+        a SYN's listen socket is looked up only when it is not given.
+        """
         if packet.kind is PacketKind.SYN:
-            socket = self.stack.demux_listener(packet.dst_port, packet.src_addr)
+            socket = (
+                endpoint if isinstance(endpoint, ListenSocket)
+                else self.stack.demux_listener(packet.dst_port, packet.src_addr)
+            )
             if socket is not None:
                 socket.stats_syns_dropped += 1
                 self.note_syn_drop(socket, packet.src_addr)

@@ -56,9 +56,14 @@ class ClientEndpoint(Protocol):
         """The server closed the connection."""
 
 
-@dataclass
+@dataclass(eq=False)
 class HalfOpen:
-    """A SYN-queue entry: an embryonic connection awaiting its ACK."""
+    """A SYN-queue entry: an embryonic connection awaiting its ACK.
+
+    Compared by identity: the handshake ACK removes *its* embryo from
+    the SYN queue, not the first one with equal fields (and a full
+    queue of flood embryos is not compared field by field).
+    """
 
     client: ClientEndpoint
     src_addr: int

@@ -19,9 +19,10 @@ keeps wall clocks out of this package unwaivably.
 
 from __future__ import annotations
 
-import json
 from pathlib import Path
 from typing import TYPE_CHECKING
+
+from repro.obs.export import _dumps
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.obs.observe import Observability
@@ -41,11 +42,6 @@ HEADLINE_SERIES = (
 
 #: Alerts shown in the text dashboard before eliding the middle.
 ALERT_LOG_LIMIT = 24
-
-
-def _dumps(obj) -> str:
-    """Canonical JSON (same discipline as the trace exporters)."""
-    return json.dumps(obj, sort_keys=True, separators=(",", ":"))
 
 
 def sparkline(values: list) -> str:

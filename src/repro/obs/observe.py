@@ -13,7 +13,7 @@ onto a simulation's :class:`~repro.sim.tracing.TraceBus`:
   charged microsecond to a (container, subsystem, phase) triple.
 
 Tracing is **off by default**: instrumented code paths check
-``TraceBus.active`` (one attribute/predicate test) before building a
+``TraceBus.active`` (one attribute read) before building a
 record, so an un-observed run pays near-zero overhead -- the
 scalability bench guards this.  Attach via ``Host(observe=True)``,
 ``Simulation(observe=True)``, or the ``REPRO_TRACE=1`` environment
@@ -95,38 +95,43 @@ def drain_installed() -> list:
 class RegistryCollector:
     """Folds instrumentation trace records into a metrics registry."""
 
+    #: Categories folded, each by its ``_on_<category>`` method.
+    CATEGORIES = (
+        "cpu.slice", "sched.charge", "sched.dispatch", "sched.preempt",
+        "sched.steal", "net.enqueue", "net.demux", "net.synq", "net.tx",
+        "app.request", "client.complete", "disk.request", "fs.cache",
+        "cluster.window",
+    )
+
     def __init__(self, registry: MetricsRegistry, bus: TraceBus) -> None:
-        self.registry = registry
         #: Per-core-lane sim-time at which the last observed slice
         #: ended; the gap to the next slice's start is booked as idle
         #: time.  Keyed by lane name so cluster hosts don't collide.
         self._core_last_end: dict[str, float] = {}
-        bus.subscribe("cpu.slice", self._on_cpu_slice)
-        bus.subscribe("sched", self._on_sched)
-        bus.subscribe("net.enqueue", self._on_net_enqueue)
-        bus.subscribe("net.demux", self._on_net_demux)
-        bus.subscribe("net.synq", self._on_net_synq)
-        bus.subscribe("net.tx", self._on_net_tx)
-        bus.subscribe("app.request", self._on_app_request)
-        bus.subscribe("client.complete", self._on_client_complete)
-        bus.subscribe("disk.request", self._on_disk_request)
-        bus.subscribe("fs.cache", self._on_fs_cache)
-        bus.subscribe("cluster.window", self._on_cluster_window)
-
-    @staticmethod
-    def _principal(name: Optional[str]) -> str:
-        return name if name is not None else "<unaccounted>"
+        #: Metric handles per subsystem (``MetricsRegistry.bind``): a
+        #: record costs dict reads, not registry lookups.
+        self._cpu = registry.bind("cpu")
+        self._core = registry.bind("core")
+        self._sched = registry.bind("sched")
+        self._net = registry.bind("net", syn_queue_depth="gauge")
+        self._app = registry.bind("app")
+        self._client = registry.bind("client", latency_us="histogram")
+        self._disk = registry.bind("disk", wait_us="histogram")
+        self._fs = registry.bind("fs")
+        self._cluster = registry.bind("cluster", share="gauge")
+        for category in self.CATEGORIES:
+            bus.subscribe(
+                category, getattr(self, "_on_" + category.replace(".", "_"))
+            )
 
     def _on_cpu_slice(self, record: TraceRecord) -> None:
         data = record.data
-        container = self._principal(data["charge"])
-        registry = self.registry
-        registry.counter(container, "cpu", "charged_us").inc(data["amount_us"])
-        registry.counter(container, "cpu", "slices").inc()
+        amount = data["amount_us"]
+        cpu = self._cpu[data["charge"]]
+        cpu["charged_us"].inc(amount)
+        cpu["slices"].inc()
         if data.get("network"):
-            registry.counter(container, "cpu", "network_us").inc(
-                data["amount_us"]
-            )
+            cpu["network_us"].inc(amount)
         # Machine view: busy/idle per core.  cpu.slice is published at
         # slice end, so the slice started ``amount_us`` earlier; the gap
         # since the core's previous slice ended is idle time (the tail
@@ -138,114 +143,96 @@ class RegistryCollector:
         # own core lanes so an 8-host run doesn't fold eight core-0s
         # into one busy counter.  Single-host lanes stay unqualified.
         lane = f"core:{core}" if host is None else f"{host}:core:{core}"
-        start = record.time - data["amount_us"]
-        idle = start - self._core_last_end.get(lane, 0.0)
+        idle = record.time - amount - self._core_last_end.get(lane, 0.0)
+        metrics = self._core[lane]
         if idle > 0:
-            registry.counter(lane, "core", "idle_us").inc(idle)
+            metrics["idle_us"].inc(idle)
         self._core_last_end[lane] = record.time
-        registry.counter(lane, "core", "busy_us").inc(data["amount_us"])
-        registry.counter(lane, "core", "slices").inc()
+        metrics["busy_us"].inc(amount)
+        metrics["slices"].inc()
 
-    def _on_sched(self, record: TraceRecord) -> None:
+    def _on_sched_charge(self, record: TraceRecord) -> None:
         data = record.data
-        container = self._principal(data.get("container"))
-        event = record.category.rsplit(".", 1)[-1]
-        if event == "charge":
-            self.registry.counter(
-                container, "sched", f"charge_us.{data['policy']}"
-            ).inc(data["amount_us"])
-        elif event == "dispatch":
-            self.registry.counter(container, "sched", "dispatches").inc()
-            if data.get("switch_us"):
-                self.registry.counter(container, "sched", "switches").inc()
-                self.registry.counter(container, "sched", "switch_us").inc(
-                    data["switch_us"]
-                )
-        elif event == "preempt":
-            self.registry.counter(container, "sched", "preemptions").inc()
-        elif event == "steal":
-            self.registry.counter(
-                f"core:{data['core']}", "core", "steals"
-            ).inc()
-            self.registry.counter(
-                f"core:{data['victim']}", "core", "stolen_from"
-            ).inc()
+        self._sched[data.get("container")][
+            f"charge_us.{data['policy']}"
+        ].inc(data["amount_us"])
+
+    def _on_sched_dispatch(self, record: TraceRecord) -> None:
+        data = record.data
+        metrics = self._sched[data.get("container")]
+        metrics["dispatches"].inc()
+        if data.get("switch_us"):
+            metrics["switches"].inc()
+            metrics["switch_us"].inc(data["switch_us"])
+
+    def _on_sched_preempt(self, record: TraceRecord) -> None:
+        self._sched[record.data.get("container")]["preemptions"].inc()
+
+    def _on_sched_steal(self, record: TraceRecord) -> None:
+        data = record.data
+        self._core[f"core:{data['core']}"]["steals"].inc()
+        self._core[f"core:{data['victim']}"]["stolen_from"].inc()
 
     def _on_net_enqueue(self, record: TraceRecord) -> None:
         data = record.data
-        container = self._principal(data.get("container"))
-        if data.get("dropped"):
-            self.registry.counter(container, "net", "dropped").inc()
-        else:
-            self.registry.counter(container, "net", "enqueued").inc()
+        name = "dropped" if data.get("dropped") else "enqueued"
+        self._net[data.get("container")][name].inc()
 
     def _on_net_demux(self, record: TraceRecord) -> None:
         data = record.data
-        container = self._principal(data.get("container"))
         name = "early_drops" if data.get("dropped") else "demuxed"
-        self.registry.counter(container, "net", name).inc()
+        self._net[data.get("container")][name].inc()
 
     def _on_net_synq(self, record: TraceRecord) -> None:
         data = record.data
-        container = self._principal(data.get("container"))
-        registry = self.registry
-        registry.counter(container, "net", "syns").inc()
+        metrics = self._net[data.get("container")]
+        metrics["syns"].inc()
         if data.get("dropped"):
-            registry.counter(container, "net", "syn_drops").inc()
+            metrics["syn_drops"].inc()
         # Level at the last SYN arrival; the kernel sampler separately
         # reads the exact backlog at each window close.
-        registry.gauge(container, "net", "syn_queue_depth").set(data["depth"])
+        metrics["syn_queue_depth"].set(data["depth"])
 
     def _on_net_tx(self, record: TraceRecord) -> None:
         data = record.data
-        container = self._principal(data.get("container"))
-        self.registry.counter(container, "net", "tx_bytes").inc(data["bytes"])
+        self._net[data.get("container")]["tx_bytes"].inc(data["bytes"])
 
     def _on_app_request(self, record: TraceRecord) -> None:
         data = record.data
-        if data["event"] != "end":
-            return
-        container = self._principal(data.get("container"))
-        self.registry.counter(container, "app", "requests").inc()
+        if data["event"] == "end":
+            self._app[data.get("container")]["requests"].inc()
 
     def _on_client_complete(self, record: TraceRecord) -> None:
         data = record.data
-        self.registry.histogram(
-            self._principal(data.get("client")), "client", "latency_us"
-        ).observe(data["latency_us"])
+        self._client[data.get("client")]["latency_us"].observe(
+            data["latency_us"]
+        )
 
     def _on_disk_request(self, record: TraceRecord) -> None:
         data = record.data
         if data["event"] != "complete":
             return
-        container = self._principal(data.get("container"))
-        registry = self.registry
-        registry.counter(container, "disk", "requests").inc()
-        registry.counter(container, "disk", "service_us").inc(
-            data["service_us"]
-        )
-        registry.counter(container, "disk", "bytes").inc(data["bytes"])
-        registry.histogram(container, "disk", "wait_us").observe(
-            data["wait_us"]
-        )
+        metrics = self._disk[data.get("container")]
+        metrics["requests"].inc()
+        metrics["service_us"].inc(data["service_us"])
+        metrics["bytes"].inc(data["bytes"])
+        metrics["wait_us"].observe(data["wait_us"])
 
     def _on_fs_cache(self, record: TraceRecord) -> None:
         data = record.data
-        container = self._principal(data.get("container"))
         name = "cache_hits" if data["hit"] else "cache_misses"
-        self.registry.counter(container, "fs", name).inc()
+        self._fs[data.get("container")][name].inc()
 
     def _on_cluster_window(self, record: TraceRecord) -> None:
         # Cluster-wide per-tenant rollups, one record per global
         # container per window (published by ClusterPrincipals).
         data = record.data
-        tenant = self._principal(data.get("tenant"))
-        registry = self.registry
-        registry.counter(tenant, "cluster", "cpu_us").inc(data["cpu_us"])
-        registry.counter(tenant, "cluster", "windows").inc()
-        registry.gauge(tenant, "cluster", "share").set(data["share"])
+        metrics = self._cluster[data.get("tenant")]
+        metrics["cpu_us"].inc(data["cpu_us"])
+        metrics["windows"].inc()
+        metrics["share"].set(data["share"])
         if data.get("throttled"):
-            registry.counter(tenant, "cluster", "windows_throttled").inc()
+            metrics["windows_throttled"].inc()
 
 
 class Observability:

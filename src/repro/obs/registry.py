@@ -47,6 +47,9 @@ DEFAULT_BUCKETS_US: tuple = (
 #: A metric key: (container, subsystem, name).
 MetricKey = tuple
 
+#: Principal label for charges no container pays for.
+UNACCOUNTED = "<unaccounted>"
+
 
 class Counter:
     """Monotonic accumulator."""
@@ -161,11 +164,27 @@ class Histogram:
 Metric = Union[Counter, Gauge, Histogram]
 
 
+class _Bound(dict):
+    """A dict that fills a missing key with ``make(key)`` and keeps it."""
+
+    __slots__ = ("make",)
+
+    def __init__(self, make) -> None:
+        super().__init__()
+        self.make = make
+
+    def __missing__(self, key):
+        value = self[key] = self.make(key)
+        return value
+
+
 class MetricsRegistry:
     """Get-or-create store of metrics keyed by (container, subsystem, name)."""
 
     def __init__(self) -> None:
         self._metrics: dict[MetricKey, Metric] = {}
+        #: Handle caches handed out by :meth:`bind`; reset empties them.
+        self._bindings: list = []
 
     # -- get-or-create -----------------------------------------------------
 
@@ -236,6 +255,32 @@ class MetricsRegistry:
     def reset(self) -> None:
         """Drop all metrics (measurement-window restart after warm-up)."""
         self._metrics.clear()
+        for bound in self._bindings:
+            bound.clear()
+
+    # -- bound handles -----------------------------------------------------
+
+    def bind(self, subsystem: str, **kinds: str) -> "_Bound":
+        """Metric handles of one subsystem: ``bound[container][name]``.
+
+        Both levels fill on first use through the get-or-create calls
+        (``kinds`` names any gauges or histograms), so metrics are created
+        when, and in the order, callers first ask; after that a lookup is
+        two dict reads.  A ``None`` container is :data:`UNACCOUNTED`.
+        :meth:`reset` empties every binding.
+        """
+
+        def container(name: Optional[str]) -> _Bound:
+            name = UNACCOUNTED if name is None else name
+            return _Bound(
+                lambda metric: getattr(self, kinds.get(metric, "counter"))(
+                    name, subsystem, metric
+                )
+            )
+
+        bound = _Bound(container)
+        self._bindings.append(bound)
+        return bound
 
     # -- export ------------------------------------------------------------
 

@@ -109,8 +109,11 @@ class RequestTracer:
         self._response: dict[int, Span] = {}
         #: disk request rid -> open disk span.
         self._disk: dict[int, Span] = {}
+        # Bound once here: ``"net.arrival"`` goes to ``_on_net_arrival``.
         for category in SPAN_CATEGORIES:
-            bus.subscribe(category, self._on_record)
+            bus.subscribe(
+                category, getattr(self, "_on_" + category.replace(".", "_"))
+            )
 
     # ------------------------------------------------------------------
     # Span bookkeeping
@@ -136,15 +139,8 @@ class RequestTracer:
         return span
 
     # ------------------------------------------------------------------
-    # Record dispatch
+    # Record handlers (one per SPAN_CATEGORIES entry)
     # ------------------------------------------------------------------
-
-    def _on_record(self, record: TraceRecord) -> None:
-        handler = getattr(
-            self, "_on_" + record.category.replace(".", "_"), None
-        )
-        if handler is not None:
-            handler(record)
 
     def _on_net_arrival(self, record: TraceRecord) -> None:
         data = record.data

@@ -2,8 +2,8 @@
 
 Subsystems publish :class:`TraceRecord` entries (scheduling decisions,
 packet drops, container charges, ...) to a :class:`TraceBus`.  Consumers
-subscribe by category.  Tracing is off by default and costs one predicate
-check per publish, so instrumented code paths stay cheap in large runs.
+subscribe by category.  Tracing is off by default and costs one attribute
+read per publish site, so instrumented code paths stay cheap in large runs.
 
 The experiment harnesses use traces to assemble the per-figure series; the
 tests use them to assert on internal behaviour (e.g. "the SYN was dropped
@@ -12,13 +12,11 @@ before protocol processing").
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Any, Callable, Iterable
+from typing import Any, Callable, Iterable, NamedTuple
 
 
-@dataclass(frozen=True)
-class TraceRecord:
-    """One trace entry.
+class TraceRecord(NamedTuple):
+    """One trace entry (immutable; a tuple, so cheap to build).
 
     Attributes:
         time: simulated time (microseconds) at which the event occurred.
@@ -28,17 +26,18 @@ class TraceRecord:
 
     time: float
     category: str
-    data: dict[str, Any] = field(default_factory=dict)
+    data: dict
 
 
 class TraceBus:
     """Publish/subscribe hub for trace records.
 
     ``publish`` is on the hot path of every instrumented subsystem, so
-    the matched handler list for each category is memoized: the
-    ``startswith`` scan over subscriber keys runs once per distinct
-    category, not once per publish.  ``subscribe`` invalidates the memo
-    (categories are few, handlers subscribe rarely, publishes are
+    each category's route -- the handlers whose key matches it, and the
+    recording list if the active recording captures it -- is memoized:
+    the ``startswith`` scans run once per distinct category, not once
+    per publish.  ``subscribe``, ``record`` and ``stop_recording`` drop
+    the memo (categories are few, those calls are rare, publishes are
     millions).
     """
 
@@ -46,15 +45,11 @@ class TraceBus:
         self._subscribers: dict[str, list[Callable[[TraceRecord], None]]] = {}
         self._recording: list[TraceRecord] | None = None
         self._record_categories: set[str] | None = None
-        #: category -> flat tuple of handlers whose key matches it.
-        self._match_cache: dict[str, tuple] = {}
-        #: category -> whether the active recording captures it.
-        self._record_match_cache: dict[str, bool] = {}
-
-    @property
-    def active(self) -> bool:
-        """True if any subscriber or recorder is attached."""
-        return bool(self._subscribers) or self._recording is not None
+        #: category -> (matched handlers, recording list or None).
+        self._routes: dict[str, tuple] = {}
+        #: True while any subscriber or recorder is attached; a plain
+        #: attribute, so an un-observed publish site pays one read.
+        self.active = False
 
     def subscribe(
         self, category: str, handler: Callable[[TraceRecord], None]
@@ -66,7 +61,8 @@ class TraceBus:
         receives ``"net.drop"``).
         """
         self._subscribers.setdefault(category, []).append(handler)
-        self._match_cache.clear()
+        self._routes.clear()
+        self.active = True
 
     def record(self, categories: Iterable[str] | None = None) -> list[TraceRecord]:
         """Start recording matching records into a list, and return it.
@@ -77,7 +73,8 @@ class TraceBus:
         """
         self._recording = []
         self._record_categories = set(categories) if categories is not None else None
-        self._record_match_cache.clear()
+        self._routes.clear()
+        self.active = True
         return self._recording
 
     def stop_recording(self) -> list[TraceRecord]:
@@ -85,7 +82,8 @@ class TraceBus:
         captured = self._recording or []
         self._recording = None
         self._record_categories = None
-        self._record_match_cache.clear()
+        self._routes.clear()
+        self.active = bool(self._subscribers)
         return captured
 
     def publish(self, time: float, category: str, **data: Any) -> None:
@@ -93,45 +91,36 @@ class TraceBus:
 
         The record object is only constructed once the category is known
         to reach a recorder or at least one handler, so publishers of
-        unwatched categories pay dict lookups but no allocation.
+        unwatched categories pay a dict lookup but no allocation.
         """
         if not self.active:
             return
-        handlers = self._match_cache.get(category)
-        if handlers is None:
-            handlers = self._matched_handlers(category)
-            self._match_cache[category] = handlers
-        recording = (
-            self._recording is not None and self._matches_recording(category)
-        )
-        if not handlers and not recording:
+        route = self._routes.get(category)
+        if route is None:
+            route = self._routes[category] = self._route(category)
+        handlers, recording = route
+        if not handlers and recording is None:
             return
-        record = TraceRecord(time=time, category=category, data=data)
-        if recording:
-            self._recording.append(record)
+        record = TraceRecord(time, category, data)
+        if recording is not None:
+            recording.append(record)
         for handler in handlers:
             handler(record)
 
-    def _matched_handlers(self, category: str) -> tuple:
-        """Handlers whose subscription key matches ``category``.
+    def _route(self, category: str) -> tuple:
+        """(handlers whose key matches ``category``, recording or None).
 
         Subscription (hence registration) order is preserved within and
         across keys, matching the pre-memoization dispatch order.
         """
-        matched = []
-        for key, handlers in self._subscribers.items():
+        handlers = []
+        for key, subscribed in self._subscribers.items():
             if key == "*" or category == key or category.startswith(key + "."):
-                matched.extend(handlers)
-        return tuple(matched)
-
-    def _matches_recording(self, category: str) -> bool:
-        if self._record_categories is None:
-            return True
-        cached = self._record_match_cache.get(category)
-        if cached is None:
-            cached = any(
-                category == key or category.startswith(key + ".")
-                for key in self._record_categories
-            )
-            self._record_match_cache[category] = cached
-        return cached
+                handlers.extend(subscribed)
+        recording = self._recording
+        keys = self._record_categories
+        if keys is not None and not any(
+            category == key or category.startswith(key + ".") for key in keys
+        ):
+            recording = None
+        return tuple(handlers), recording

@@ -5,7 +5,7 @@ import pytest
 from repro import Host, SystemMode
 from repro.apps.webclient import HttpClient, HttpRequest
 from repro.net.packet import Packet, PacketKind, ip_addr
-from repro.net.tcp import ConnState, ListenSocket
+from repro.net.tcp import ConnState, HalfOpen, ListenSocket, TcpStack
 from repro.syscall import api
 
 
@@ -127,6 +127,66 @@ def test_handshake_ack_for_evicted_halfopen_ignored():
     socket = host.kernel.stack.listeners[0]
     assert len(socket.accept_queue) == 0
     assert not first.established
+
+
+def test_handshake_ack_removes_its_own_embryo_among_equal_ones():
+    """The ACK takes *its* HalfOpen out of the SYN queue, even when an
+    older embryo has equal fields (same client, address, port, time)."""
+    host, _ = make_listening_host()
+    socket = host.kernel.stack.listeners[0]
+    client = RecordingClient(host)
+    first, second = (
+        HalfOpen(
+            client=client, src_addr=ip_addr(1, 2, 3, 4), src_port=4000,
+            listen_socket=socket, created_at=host.sim.now,
+        )
+        for _ in range(2)
+    )
+    socket.syn_queue.extend([first, second])
+    host.kernel.stack.protocol_input(
+        Packet(
+            kind=PacketKind.HANDSHAKE_ACK,
+            src_addr=ip_addr(1, 2, 3, 4),
+            payload=second,
+        )
+    )
+    assert len(socket.syn_queue) == 1
+    assert socket.syn_queue[0] is first
+    assert len(socket.accept_queue) == 1
+
+
+def test_dropped_syn_costs_one_listener_lookup(monkeypatch):
+    """A SYN that early demux matches but the net thread's queue cannot
+    take is booked against the listener demux already found: one
+    ``demux_listener`` call per dropped SYN, not a second lookup."""
+    host, _ = make_listening_host()
+    kernel = host.kernel
+    socket = kernel.stack.listeners[0]
+    limit = kernel.net_threads[socket.process.pid].queue_limit
+    lookups = []
+    demux_listener = TcpStack.demux_listener
+
+    def counted(self, port, src_addr):
+        lookups.append(src_addr)
+        return demux_listener(self, port, src_addr)
+
+    monkeypatch.setattr(TcpStack, "demux_listener", counted)
+
+    def syn(index):
+        return Packet(
+            kind=PacketKind.SYN, src_addr=ip_addr(7, 7, index // 256, index % 256)
+        )
+
+    # No simulated time passes, so the net thread never drains.
+    for index in range(limit):
+        kernel._early_demux(syn(index))
+    assert socket.stats_syns_dropped == 0
+    lookups.clear()
+    dropped = 5
+    for index in range(limit, limit + dropped):
+        kernel._early_demux(syn(index))
+    assert socket.stats_syns_dropped == dropped
+    assert len(lookups) == dropped
 
 
 def test_stray_syn_without_listener_dropped():

@@ -1,5 +1,7 @@
 """Trace bus subscription and recording."""
 
+import pytest
+
 from repro.sim.tracing import TraceBus
 
 
@@ -65,11 +67,11 @@ def test_publish_memoizes_matched_handlers():
     seen = []
     bus.subscribe("net", seen.append)
     bus.publish(1.0, "net.drop")
-    assert "net.drop" in bus._match_cache
-    assert bus._match_cache["net.drop"] == (seen.append,)
+    assert "net.drop" in bus._routes
+    assert bus._routes["net.drop"] == ((seen.append,), None)
     # Non-matching categories memoize an empty handler tuple too.
     bus.publish(2.0, "sched.pick")
-    assert bus._match_cache["sched.pick"] == ()
+    assert bus._routes["sched.pick"] == ((), None)
     assert [r.category for r in seen] == ["net.drop"]
 
 
@@ -142,13 +144,43 @@ def test_subscribe_same_category_during_publish_does_not_mutate_live_tuple():
 
 def test_recording_category_match_is_memoized_and_reset():
     bus = TraceBus()
-    bus.record(categories=["sched"])
+    captured = bus.record(categories=["sched"])
     bus.publish(1.0, "sched.pick")
     bus.publish(2.0, "net.drop")
-    assert bus._record_match_cache == {"sched.pick": True, "net.drop": False}
+    assert bus._routes == {"sched.pick": ((), captured), "net.drop": ((), None)}
     records = bus.stop_recording()
     assert [r.category for r in records] == ["sched.pick"]
     # A new recording with different categories must not reuse the memo.
     bus.record(categories=["net"])
     bus.publish(3.0, "net.drop")
     assert [r.category for r in bus.stop_recording()] == ["net.drop"]
+
+
+def test_active_is_an_attribute_tracking_subscribe_and_recording():
+    # A plain attribute, not a property: publish sites read it per call.
+    assert "active" not in vars(TraceBus)
+    bus = TraceBus()
+    assert bus.active is False
+    bus.record()
+    assert bus.active is True
+    bus.stop_recording()
+    assert bus.active is False
+    bus.subscribe("net", lambda record: None)
+    assert bus.active is True
+    bus.record(categories=["sched"])
+    bus.stop_recording()
+    assert bus.active is True  # the subscriber is still attached
+
+
+def test_trace_record_fields_cannot_be_reassigned():
+    bus = TraceBus()
+    seen = []
+    bus.subscribe("net", seen.append)
+    bus.publish(1.0, "net.drop", reason="x")
+    record = seen[0]
+    assert (record.time, record.category, record.data) == (
+        1.0, "net.drop", {"reason": "x"}
+    )
+    for field in ("time", "category", "data"):
+        with pytest.raises(AttributeError):
+            setattr(record, field, None)
